@@ -18,7 +18,7 @@ test-fast:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/ -m "not slow" -x -q
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only \
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only \
 		-o python_files="test_*.py bench_*.py"
 
 bench-storage:
@@ -66,15 +66,15 @@ fsck:
 	@rm -rf "$$(cat .fsck_smoke_dir)" .fsck_smoke_dir
 
 figures:
-	$(PYTHON) -m benchmarks.run_all
+	PYTHONPATH=src $(PYTHON) -m benchmarks.run_all
 
 figures-full:
-	REPRO_BENCH_FULL=1 $(PYTHON) -m benchmarks.run_all
+	REPRO_BENCH_FULL=1 PYTHONPATH=src $(PYTHON) -m benchmarks.run_all
 
 examples:
 	@for ex in examples/*.py; do \
 		echo "== $$ex"; \
-		$(PYTHON) $$ex || exit 1; \
+		PYTHONPATH=src $(PYTHON) $$ex || exit 1; \
 	done
 
 clean:

@@ -40,9 +40,8 @@ def generate():
             rows.append({
                 "alpha": alpha,
                 "wall_ms": round(m.wall_ms, 2),
-                "index_entries_fetched":
-                    result.stats.mc_lookups.index_entries,
-                "raw_cpts_fetched": result.stats.mc_lookups.raw_cpts,
+                "lookups": result.stats.mc_lookups.lookups,
+                "base_cpts_read": result.stats.mc_lookups.base_cpts_read,
                 "compositions": result.stats.mc_lookups.compositions,
                 "index_mb": round(mc_size / 2**20, 3),
             })
@@ -50,8 +49,8 @@ def generate():
             db.close()
     text = print_table(
         "Ablation: MC index alpha vs query latency and storage", rows,
-        columns=["alpha", "wall_ms", "index_entries_fetched",
-                 "raw_cpts_fetched", "compositions", "index_mb"],
+        columns=["alpha", "wall_ms", "lookups", "base_cpts_read",
+                 "compositions", "index_mb"],
     )
     save_report("ablation_mc_alpha", text, {"rows": rows})
     return rows
@@ -88,9 +87,7 @@ def test_ablation_mc_alpha_shape():
         finally:
             db.close()
     assert sizes[8] <= sizes[2]
-    pieces2 = results[2].index_entries + results[2].raw_cpts
-    pieces8 = results[8].index_entries + results[8].raw_cpts
-    assert pieces2 <= pieces8
+    assert results[2].pieces <= results[8].pieces
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Figure 8(b): fixed-length access methods on "real" (routine) data.
 
-22 Entered-Room queries against one routine stream; each query plots
-three points (naive scan / B+Tree / top-k B+Tree with k=1) at its
-measured data density. Expected shape: bimodal densities; B+Tree speedup
-grows as density falls; top-k poor at low density, often best at high
-density when the signal has sharp peaks.
+The paper runs 22 Entered-Room queries, one per room, against one
+routine stream; the synthetic grid has one monitored room, so this runs
+its single Entered-Room query. Each query plots three points (naive
+scan / B+Tree / top-k B+Tree with k=1) at its measured data density.
+Expected shape: bimodal densities; B+Tree speedup grows as density
+falls; top-k poor at low density, often best at high density when the
+signal has sharp peaks.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from .harness import measure, print_table, save_report
 from .workloads import room_queries_for, routines_db
 
 STREAM = "person0"
-NUM_QUERIES = 22
 
 
 def generate():
     db = routines_db()
     try:
-        queries = room_queries_for(db, STREAM, count=NUM_QUERIES)
+        queries = room_queries_for()
         rows = []
         for room, text in queries:
             density = db.data_density(STREAM, text)
@@ -61,7 +62,7 @@ def db():
 
 @pytest.fixture(scope="module")
 def sample_queries(db):
-    queries = room_queries_for(db, STREAM, count=NUM_QUERIES)
+    queries = room_queries_for()
     # Highest- and lowest-density queries as benchmark representatives.
     return queries[0], queries[-1]
 
@@ -95,7 +96,7 @@ def test_fig8b_shape_btree_beats_naive_at_low_density(db, sample_queries):
 
 def test_fig8b_density_is_bimodal(db):
     """§4.1.2: most queries sit near density 0 or near density 1."""
-    queries = room_queries_for(db, STREAM, count=NUM_QUERIES)
+    queries = room_queries_for()
     densities = [db.data_density(STREAM, text) for _, text in queries]
     middle = [d for d in densities if 0.25 <= d <= 0.55]
     assert len(middle) <= len(densities) // 2

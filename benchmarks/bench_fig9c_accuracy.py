@@ -2,12 +2,11 @@
 
 Two workloads:
 
-1. **Routine streams** (the real-data substitute): the same Kleene
-   queries as Figure 9(b), plus cross-room variants whose relevant
-   timesteps are separated by gaps. On forward-backward-smoothed
-   streams these errors are small — smoothing resolves most ambiguity,
-   and correlations across long gaps genuinely decay — mirroring the
-   paper's *favorable* case (peak identified, modest relative error).
+1. **Routine streams** (the real-data substitute): the Kleene
+   Entered-Room query of Figure 9(b) on each person's stream. Their
+   relevant timesteps sit in short bursts whose correlations decay
+   across the background gaps, mirroring the paper's *favorable* case
+   (peak identified, modest relative error).
 
 2. **Fork streams**: hand-built Markovian streams with *unresolvable*
    branch ambiguity (the tag approached a room along one of two
@@ -21,19 +20,17 @@ Two workloads:
 from __future__ import annotations
 
 import random
+import tempfile
 from typing import List
 
 import pytest
 
-from repro.core import Caldera
+from repro.core import Caldera, approximation_report
 from repro.probability import CPT, SparseDistribution
-from repro.rfid import HALLWAY
 from repro.streams import MarkovianStream, single_attribute_space
 
 from .harness import print_table, save_report
-from .workloads import room_queries_for, routines_db, world
-
-NUM_QUERIES = 6
+from .workloads import ENTERED_ROOM_KLEENE, ROUTINE_PEOPLE, routines_db
 
 
 def _signals(db, stream, text):
@@ -43,8 +40,6 @@ def _signals(db, stream, text):
 
 
 def error_report(db, stream, text, label=None):
-    from repro.core import approximation_report
-
     exact, approx = _signals(db, stream, text)
     report = approximation_report(sorted(exact.items()),
                                   sorted(approx.items()))
@@ -127,38 +122,19 @@ def fork_reports(tmp_dir: str):
 
 
 def routine_reports(db) -> List[dict]:
-    plan, _, _ = world()
     rows = []
-    for person in range(4):
+    for person in range(ROUTINE_PEOPLE):
         stream = f"person{person}"
-        queries = room_queries_for(db, stream, count=NUM_QUERIES,
-                                   variable=True)
-        report = error_report(db, stream, queries[-1][1],
+        report = error_report(db, stream, ENTERED_ROOM_KLEENE,
                               label=f"{stream} (room query)")
         if report is not None:
             rows.append(report)
-        # A cross-room query: dense room's doorway, then eventually a
-        # rarely-visited room (gap-heavy).
-        rooms = [r for r, _ in room_queries_for(db, stream, count=22)]
-        if len(rooms) >= 2:
-            door = next(
-                n for n in plan.neighbors(rooms[0])
-                if plan.kind_of(n) == HALLWAY
-            )
-            text = (f"location={door} -> (!location={rooms[-1]})* "
-                    f"location={rooms[-1]}")
-            report = error_report(db, stream, text,
-                                  label=f"{stream} (cross-room)")
-            if report is not None:
-                rows.append(report)
     return rows
 
 
 def generate():
-    import tempfile
-
     rows = []
-    db = routines_db()
+    db = routines_db(mc_alpha=2)
     try:
         rows.extend(routine_reports(db))
     finally:
@@ -177,32 +153,28 @@ def generate():
 
 @pytest.fixture(scope="module")
 def db():
-    database = routines_db()
+    database = routines_db(mc_alpha=2)
     yield database
     database.close()
 
 
 def test_fig9c_benchmark_semi_vs_mc(benchmark, db):
-    queries = room_queries_for(db, "person0", count=NUM_QUERIES,
-                               variable=True)
-    _, text = queries[-1]
     benchmark.pedantic(
-        lambda: db.query("person0", text, method="semi", cold=True),
+        lambda: db.query("person0", ENTERED_ROOM_KLEENE, method="semi",
+                         cold=True),
         rounds=3, iterations=1,
     )
 
 
 def test_fig9c_shape_probabilities_bounded(db):
     """Approximate probabilities stay in [0, 1]."""
-    queries = room_queries_for(db, "person0", count=NUM_QUERIES,
-                               variable=True)
-    for _, text in queries:
-        approx = db.query("person0", text, method="semi").as_dict()
-        assert all(-1e-9 <= p <= 1 + 1e-9 for p in approx.values())
+    approx = db.query("person0", ENTERED_ROOM_KLEENE,
+                      method="semi").as_dict()
+    assert all(-1e-9 <= p <= 1 + 1e-9 for p in approx.values())
 
 
 def test_fig9c_shape_routine_errors_are_modest(db):
-    """The favorable regime: on smoothed routine streams the peak is
+    """The favorable regime: on routine streams the peak is
     found and errors stay modest (the paper's 'tracks fairly well')."""
     rows = routine_reports(db)
     assert rows

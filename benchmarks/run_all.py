@@ -3,83 +3,66 @@
 Usage::
 
     python -m benchmarks.run_all            # scaled-down streams
+    python -m benchmarks.run_all fig4_signal reg_kernel   # a subset
     REPRO_BENCH_FULL=1 python -m benchmarks.run_all   # paper scale
 
-Writes one text + JSON report per figure under ``benchmarks/results/``;
-EXPERIMENTS.md summarizes them against the paper's claims.
-
-Figure modules are imported lazily: figures whose layers are not yet
-built (see ROADMAP.md) are reported as skipped instead of crashing the
-whole run. The run emits a ``results/run_all.manifest.json`` manifest
-— one span per figure — so two regeneration runs are diffable with
-``python -m repro.obs.report``.
+Runs ``generate()`` of every ``benchmarks/bench_*.py`` script, named by
+its file stem without the ``bench_`` prefix, and writes one text + JSON
+report per figure under ``benchmarks/results/``; EXPERIMENTS.md
+summarizes them against the paper's claims. Any script that raises
+fails the whole run. The run emits a ``results/run_all.manifest.json``
+manifest — one span per figure — so two regeneration runs are diffable
+with ``python -m repro.obs.report``.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 import time
+from typing import List
 
 from repro.obs import MetricsRegistry
 
 from .harness import finish_run, start_run
 
-# (figure name, module under benchmarks.) — imported on demand.
-FIGURES = [
-    ("storage_micro", "bench_storage_micro"),
-    ("fig4", "bench_fig4_signal"),
-    ("fig8a", "bench_fig8a_layouts"),
-    ("fig8b", "bench_fig8b_real_fixed"),
-    ("fig8c", "bench_fig8c_matchrate"),
-    ("fig9a", "bench_fig9a_variable"),
-    ("fig9b", "bench_fig9b_real_variable"),
-    ("fig9c", "bench_fig9c_accuracy"),
-    ("fig10", "bench_fig10_table"),
-    ("fig11a", "bench_fig11a_mc_lookup"),
-    ("fig11b", "bench_fig11b_mc_storage"),
-    ("ablation_merge", "bench_ablation_merge"),
-    ("ablation_topk_bound", "bench_ablation_topk_bound"),
-    ("ablation_mc_alpha", "bench_ablation_mc_alpha"),
-]
+PREFIX = "bench_"
 
 
-def _load(module_name: str):
-    """The figure module, or the missing repro layer's name."""
-    try:
-        return importlib.import_module(f".{module_name}", __package__), None
-    except ModuleNotFoundError as exc:
-        name = exc.name or ""
-        if name == "repro" or name.startswith("repro."):
-            return None, ".".join(name.split(".")[:2])
-        raise
+def figures() -> List[str]:
+    """Every benchmark script's figure name, sorted."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    return sorted(
+        entry[len(PREFIX):-len(".py")] for entry in os.listdir(here)
+        if entry.startswith(PREFIX) and entry.endswith(".py")
+    )
 
 
 def main(only=None) -> int:
     start = time.time()
+    names = figures()
+    unknown = sorted(set(only or ()) - set(names))
+    if unknown:
+        print(f"unknown figure(s) {unknown}; choose from {names}",
+              file=sys.stderr)
+        return 2
     registry = MetricsRegistry()
     manifest, tracer = start_run("run_all", registry=registry)
-    done, skipped = [], []
-    for name, module_name in FIGURES:
+    done = []
+    for name in names:
         if only and name not in only:
             continue
-        module, missing = _load(module_name)
-        if module is None:
-            print(f"[{name}] skipped: needs the {missing} layer "
-                  "(not yet implemented, see ROADMAP.md)")
-            skipped.append({"figure": name, "missing_layer": missing})
-            continue
+        module = importlib.import_module(f".{PREFIX}{name}", __package__)
         print(f"\n##### {name} " + "#" * 40)
         t0 = time.time()
         with tracer.span("figure", figure=name):
             module.generate()
         print(f"[{name}] done in {time.time() - t0:.1f}s")
         done.append(name)
-    path = finish_run(
-        manifest, tracer, registry=registry,
-        extra={"figures_done": done, "figures_skipped": skipped},
-    )
-    print(f"\n{len(done)} figure(s) regenerated, {len(skipped)} skipped "
+    path = finish_run(manifest, tracer, registry=registry,
+                      extra={"figures_done": done})
+    print(f"\n{len(done)} figure(s) regenerated, 0 skipped "
           f"in {time.time() - start:.1f}s; reports in benchmarks/results/")
     print(f"run manifest: {path}")
     return 0

@@ -2,8 +2,9 @@
 
 The paper's Fig 3(b) query: *"when did the person go from the hallway
 to (eventually) a coffee room?"* — a Kleene-closure query that can match
-intervals of any length, so fixed-length indexing does not apply. This
-example compares:
+intervals of any length, so fixed-length indexing does not apply. Here
+the monitored ``Room`` of a routine stream plays the coffee room and
+its ``Door`` the hallway doorway. This example compares:
 
 - the naive full scan (Alg 1),
 - the exact MC-index method (Alg 4),
@@ -16,77 +17,32 @@ room the whole time") answered through a predicate-conditioned MC index
 Run: ``python examples/coffee_breaks.py``
 """
 
-import random
 import tempfile
 
 from repro.core import Caldera
 from repro.query import Equals
-from repro.rfid import (
-    COFFEE,
-    HALLWAY,
-    RFIDSensorModel,
-    assign_people,
-    default_deployment,
-    simulate_tag,
-    smooth_trace,
-    uw_building,
-)
+from repro.streams import routine_stream
 
-DURATION = 900
+NAME = "pat"
 
 
 def main() -> None:
-    plan = uw_building()
-    sensors = RFIDSensorModel(plan, default_deployment(plan))
-    space = plan.state_space()
-    rng = random.Random(21)
+    stream = routine_stream(NAME, num_snippets=30, seed=21)
+    print(f"generated {NAME!r}: {len(stream)} timesteps")
 
-    person = assign_people(plan, 1, rng)[0]
-    office = person.home_office
-    coffee = min(
-        plan.of_kind(COFFEE),
-        key=lambda room: len(plan.shortest_path(office, room)),
-    )
-    # Hand-build the day so it provably contains two coffee breaks.
-    path = []
-    for dwell in (180, 240):
-        path += [office] * dwell
-        path += plan.shortest_path(office, coffee)[1:]
-        path += [coffee] * 25
-        path += plan.shortest_path(coffee, office)[1:]
-    path += [office] * max(0, DURATION - len(path))
-    path = path[:DURATION]
-    visits = sorted({t for t, loc in enumerate(path) if loc == coffee})
-    print(f"{person.name} visited {coffee} at timesteps "
-          f"{visits[:3]}{'...' if len(visits) > 3 else ''} "
-          f"({len(visits)} timesteps total)")
-
-    trace = simulate_tag(sensors, person.name, path, rng)
-    stream = smooth_trace(plan, sensors, trace, space=space, prune=1e-3)
-
-    coffee_pred = Equals("location", coffee)
+    coffee_pred = Equals("location", "Room")
     with tempfile.TemporaryDirectory() as tmp:
         with Caldera(tmp) as db:
-            db.register_dimension_table("LocationType", plan.dimension_table())
             db.archive(stream, mc_alpha=2,
-                       conditioned_predicates=[coffee_pred],
-                       join_tables=("LocationType",))
+                       conditioned_predicates=[coffee_pred])
 
-            doorway = next(
-                n for n in plan.neighbors(coffee)
-                if plan.kind_of(n) == HALLWAY
-            )
-            # Negated-loop Kleene: hallway, then EVENTUALLY the coffee room.
-            query = (
-                f"location={doorway} -> "
-                f"(!location={coffee})* location={coffee}"
-            )
+            # Negated-loop Kleene: doorway, then EVENTUALLY the room.
+            query = "location=Door -> (!location=Room)* location=Room"
             print(f"\nquery: {query}")
-            print(f"data density: {db.data_density(person.name, query):.3f}")
+            print(f"data density: {db.data_density(NAME, query):.3f}")
             baseline = None
             for method in ("naive", "mc", "semi"):
-                result = db.query(person.name, query, method=method,
-                                  cold=True)
+                result = db.query(NAME, query, method=method, cold=True)
                 peak = result.peak() or (None, 0.0)
                 note = ""
                 if method == "naive":
@@ -99,23 +55,19 @@ def main() -> None:
                       f"{result.stats.summary()}{note}")
 
             # Semi-independent error vs the exact signal.
-            exact = db.query(person.name, query, method="mc").as_dict()
-            approx = db.query(person.name, query, method="semi").as_dict()
+            exact = db.query(NAME, query, method="mc").as_dict()
+            approx = db.query(NAME, query, method="semi").as_dict()
             errors = [abs(approx.get(t, 0.0) - p) for t, p in exact.items()]
             print(f"  semi-independent max abs error: {max(errors):.3f} "
                   f"(no guarantees, §3.4.3)")
 
-            # Positive Kleene loop: entered the coffee room and STAYED in
-            # it until time t (a lingering coffee break), answered with a
+            # Positive Kleene loop: entered the room and STAYED in it
+            # until time t (a lingering coffee break), answered with a
             # conditioned MC index.
-            linger = (
-                f"location={doorway} -> "
-                f"(location={coffee})* location={coffee}"
-            )
+            linger = "location=Door -> (location=Room)* location=Room"
             print(f"\nquery: {linger}")
-            exact_mode = db.query(person.name, linger, method="mc",
-                                  cold=True)
-            conditioned = db.query(person.name, linger, method="mc",
+            exact_mode = db.query(NAME, linger, method="mc", cold=True)
+            conditioned = db.query(NAME, linger, method="mc",
                                    use_conditioned=True, cold=True)
             print(f"  exact MC:        {exact_mode.stats.summary()} "
                   f"({len(exact_mode.signal)} points)")

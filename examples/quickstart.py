@@ -1,71 +1,46 @@
 """Quickstart: archive a Markovian stream and query it with Caldera.
 
-Walks the full pipeline of the paper's Figure 1 on a small building:
+Walks the archive-and-query half of the paper's Figure 1:
 
-1. simulate a person (Bob) carrying an RFID tag through the building;
-2. smooth the noisy antenna readings into a Markovian stream (HMM
-   forward-backward smoothing);
-3. archive the stream with BT_C / BT_P / MC indexes;
-4. run an Entered-Room event query with several access methods and
-   compare their answers and costs.
+1. generate a routine stream: Bob wanders corridor cells ``C0..C7``,
+   walks past a doorway (``Door``) a few times and enters the room
+   behind it (``Room``) once;
+2. archive it with BT_C / BT_P / MC indexes, plus a join index over a
+   ``LocationType`` dimension table (§3.4.1);
+3. run an Entered-Room event query with several access methods and
+   compare their answers and costs;
+4. run a variable-length query over the dimension table.
 
 Run: ``python examples/quickstart.py``
 """
 
-import random
 import tempfile
 
 from repro.core import Caldera
-from repro.rfid import (
-    Antenna,
-    RFIDSensorModel,
-    demo_building,
-    simulate_tag,
-    smooth_trace,
-)
+from repro.streams import routine_stream
+
+#: Star-schema dimension table: every location's kind.
+LOCATION_TYPE = {f"C{i}": "Corridor" for i in range(8)}
+LOCATION_TYPE.update({"Door": "Doorway", "Room": "Office"})
 
 
 def main() -> None:
-    # --- 1. the world: a small building with three corridor antennas ----
-    plan = demo_building()
-    sensors = RFIDSensorModel(
-        plan, [Antenna("A1", "H2"), Antenna("A2", "H4"), Antenna("A3", "H6")]
-    )
-    rng = random.Random(42)
+    # --- 1. a day of Bob's routine as a Markovian stream ----------------
+    stream = routine_stream("bob", num_snippets=20, seed=3)
+    print(f"generated {stream.name!r}: {len(stream)} timesteps over "
+          f"{len(stream.space)} locations")
 
-    # Bob: office -> coffee room -> office (ground truth, one step/second).
-    path = (
-        ["O1"] * 10
-        + plan.shortest_path("O1", "Coffee")[1:]
-        + ["Coffee"] * 8
-        + plan.shortest_path("Coffee", "O1")[1:]
-        + ["O1"] * 10
-    )
-    trace = simulate_tag(sensors, "bob", path, rng)
-    detections = sum(1 for o in trace.observations if o)
-    print(f"simulated {len(path)} timesteps; antennas fired on "
-          f"{detections} of them")
-
-    # --- 2. smooth into a Markovian stream ------------------------------
-    stream = smooth_trace(plan, sensors, trace)
-    t_mid = len(path) // 2
-    mode, p = stream.marginal(t_mid).max_state()
-    loc = stream.space.attribute_value(mode, "location")
-    print(f"smoothed marginal at t={t_mid}: most likely at {loc} (p={p:.2f}); "
-          f"ground truth {path[t_mid]}")
-
-    # --- 3. archive with indexes ----------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         with Caldera(tmp) as db:
-            db.register_dimension_table("LocationType", plan.dimension_table())
+            # --- 2. archive with indexes ------------------------------------
+            db.register_dimension_table("LocationType", LOCATION_TYPE)
             db.archive(stream, layout="separated", mc_alpha=2,
                        join_tables=("LocationType",))
             print(f"archived {stream.name!r}: "
                   f"{len(db.storage_report())} database files")
 
-            # --- 4. event queries ----------------------------------------
-            # Fixed-length: "when did Bob enter the coffee room?"
-            entered = "location=H3 -> location=Coffee"
+            # --- 3. "when did Bob enter the room?" --------------------------
+            entered = "location=Door -> location=Room"
             print(f"\nquery: {entered}")
             for method in ("naive", "btree"):
                 result = db.query("bob", entered, method=method)
@@ -81,16 +56,15 @@ def main() -> None:
             top = db.query("bob", entered, k=1)
             print(f"  top-1: {top.signal}")
 
-            # Variable-length with a dimension predicate: "Bob left the
-            # hallway and eventually reached ANY coffee room".
-            coffee_break = (
-                "dim(location,LocationType)=Hallway -> "
-                "(!dim(location,LocationType)=CoffeeRoom)* "
-                "dim(location,LocationType)=CoffeeRoom"
+            # --- 4. "left a doorway and eventually reached an office" -------
+            reached_office = (
+                "dim(location,LocationType)=Doorway -> "
+                "(!dim(location,LocationType)=Office)* "
+                "dim(location,LocationType)=Office"
             )
-            print(f"\nquery: {coffee_break}")
+            print(f"\nquery: {reached_office}")
             for method in ("naive", "mc", "semi"):
-                result = db.query("bob", coffee_break, method=method)
+                result = db.query("bob", reached_office, method=method)
                 peak = result.peak()
                 print(f"  {method:>6}: peak p={peak[1]:.3f} at t={peak[0]} "
                       f"({result.stats.summary()})")

@@ -7,15 +7,15 @@ The package is layered bottom-up:
 
 - :mod:`repro.storage` — page-based B+ tree storage engine (BDB substitute);
 - :mod:`repro.probability` — sparse distributions and CPTs;
-- :mod:`repro.hmm` — HMMs, forward-backward smoothing, particle filtering;
-- :mod:`repro.rfid` — building/antenna/tag simulator (not yet implemented;
-  :mod:`repro.streams.synthetic` stands in for it today);
-- :mod:`repro.streams` — the Markovian stream model and archive layouts;
+- :mod:`repro.obs` — metrics, tracing spans and run manifests;
+- :mod:`repro.hmm` — HMMs, forward-backward smoothing, Viterbi;
+- :mod:`repro.streams` — the Markovian stream model, archive layouts and
+  the synthetic snippet/routine generators (§4.1);
 - :mod:`repro.query` — predicates and Regular (linear-NFA) event queries;
 - :mod:`repro.lahar` — the Reg operator (Lahar-style NFA probability);
-- :mod:`repro.indexes` — BT_C, BT_P secondary indexes (MC index stubbed);
-- :mod:`repro.access` — the paper's access methods (Algorithms 1-3 and the
-  semi-independent approximation; Alg 5's MC traversal awaits the MC index);
+- :mod:`repro.indexes` — BT_C, BT_P and MC indexes;
+- :mod:`repro.access` — the paper's access methods (Algorithms 1-5 and the
+  semi-independent approximation);
 - :mod:`repro.core` — the Caldera engine: catalog, planner, operators.
 
 Quickstart: see ``examples/quickstart.py`` for an end-to-end walkthrough.

@@ -19,21 +19,20 @@ events, and the run's cost (wall time + page I/O).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from typing import List, Optional
 
+from .core import Caldera, detect_events
 from .errors import ReproError
-
-# The engine (repro.core) pulls in every layer of the stack; while some
-# layers are still unbuilt, importing it at module scope would make even
-# ``python -m repro --help`` crash. Subcommands import it lazily and
-# main() turns a missing repro.* module into a clear diagnostic.
-
-
-def _engine():
-    from .core import Caldera
-
-    return Caldera
+from .storage import StorageEnvironment
+from .streams import (
+    ENTERED_ROOM_QUERY,
+    dump_stream,
+    load_stream,
+    routine_stream,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["separated", "cell", "co_clustered",
                               "packed"])
     imp.add_argument("--mc-alpha", type=int, default=None,
-                     help="build the MC index with this branching factor "
-                     "(not yet implemented; leave unset)")
+                     help="build the MC index with this branching factor")
     imp.add_argument("--no-btp", action="store_true",
                      help="skip the BT_P (top-k) index")
 
@@ -125,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_demo(args, out) -> int:
-    import tempfile
-
-    from .streams import ENTERED_ROOM_QUERY, routine_stream
-
     print(f"simulating {args.people} routine stream(s) x "
           f"{args.snippets * 30} timesteps ...", file=out)
     streams = [
@@ -138,7 +132,7 @@ def cmd_demo(args, out) -> int:
     ]
     with tempfile.TemporaryDirectory() as scratch:
         db_path = args.db if args.db is not None else scratch
-        with _engine()(db_path) as db:
+        with Caldera(db_path) as db:
             for stream in streams:
                 db.archive(stream, layout=args.layout)
                 print(f"  archived {stream.name} ({len(stream)} timesteps, "
@@ -172,7 +166,7 @@ def cmd_demo(args, out) -> int:
 
 
 def cmd_info(args, out) -> int:
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         streams = db.stream_names()
         if not streams:
             print("no streams archived", file=out)
@@ -194,10 +188,8 @@ def cmd_info(args, out) -> int:
 
 
 def cmd_import(args, out) -> int:
-    from .streams import load_stream
-
     stream = load_stream(args.stream_json)
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         db.archive(stream, layout=args.layout, btp=not args.no_btp,
                    mc_alpha=args.mc_alpha)
     print(f"imported {stream.name!r}: {len(stream)} timesteps", file=out)
@@ -205,9 +197,7 @@ def cmd_import(args, out) -> int:
 
 
 def cmd_export(args, out) -> int:
-    from .streams import dump_stream
-
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         stream = db.reader(args.stream).materialize()
     dump_stream(stream, args.output)
     print(f"exported {args.stream!r} to {args.output}", file=out)
@@ -215,7 +205,7 @@ def cmd_export(args, out) -> int:
 
 
 def cmd_query(args, out) -> int:
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         result = db.query(
             args.stream, args.query, method=args.method, k=args.k,
             threshold=args.threshold, cold=args.cold,
@@ -230,8 +220,6 @@ def cmd_query(args, out) -> int:
             for t, p in top:
                 print(f"  t={t:6d}  p={p:.4f}", file=out)
         if args.events is not None:
-            from .core import detect_events
-
             events = detect_events(result, enter=args.events)
             print(f"{len(events)} event(s) at enter={args.events}:", file=out)
             for event in events:
@@ -240,24 +228,20 @@ def cmd_query(args, out) -> int:
 
 
 def cmd_plan(args, out) -> int:
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         decision = db.explain(args.stream, args.query, k=args.k)
         print(f"{decision.name}: {decision.reason}", file=out)
     return 0
 
 
 def cmd_density(args, out) -> int:
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         density = db.data_density(args.stream, args.query)
         print(f"{density:.4f}", file=out)
     return 0
 
 
 def cmd_fsck(args, out) -> int:
-    import os
-
-    from .storage import StorageEnvironment
-
     if not os.path.isdir(args.db):
         print(f"error: no such database directory: {args.db}",
               file=sys.stderr)
@@ -272,7 +256,7 @@ def cmd_fsck(args, out) -> int:
 
 
 def cmd_drop(args, out) -> int:
-    with _engine()(args.db) as db:
+    with Caldera(args.db) as db:
         db.drop_stream(args.stream)
         print(f"dropped {args.stream!r}", file=out)
     return 0
@@ -297,20 +281,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args, out)
-    except ModuleNotFoundError as exc:
-        name = exc.name or ""
-        if name == "repro" or name.startswith("repro."):
-            layer = ".".join(name.split(".")[:2])
-            print(
-                f"error: {args.command!r} needs the {layer} layer, which "
-                "is not yet implemented in this repo (see ROADMAP.md for "
-                "the build order; storage, probability, obs, streams, "
-                "query, lahar, indexes, access, and core are available "
-                "today — rfid and the MC index are still to come)",
-                file=sys.stderr,
-            )
-            return 2
-        raise
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

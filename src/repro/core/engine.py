@@ -177,18 +177,6 @@ class Caldera:
                 self.env.drop_tree(name)
         self.catalog.drop_stream(stream_name)
 
-    def build_conditioned_mc(self, stream_name: str, predicate: Predicate,
-                             alpha: Optional[int] = None) -> None:
-        """Build a conditioned MC index for an already-archived stream."""
-        meta = self.catalog.stream_meta(stream_name)
-        if alpha is None:
-            alpha = meta.indexes.get("mc", {}).get("alpha", 2)
-        reader = self.reader(stream_name)
-        build_mc(self.env, stream_name, reader, alpha=alpha,
-                 predicate=predicate, space=meta.space)
-        meta.indexes[f"mcc:{predicate.signature()}"] = {"alpha": alpha}
-        self.catalog.update_stream(meta)
-
     # -- access ---------------------------------------------------------------
     def stream_names(self) -> List[str]:
         return self.catalog.list_streams()
@@ -323,23 +311,6 @@ class Caldera:
             elif k is not None:
                 result.signal = sorted(result.top(k))
         return result
-
-    def query_all(
-        self,
-        query: Union[RegularQuery, str],
-        streams: Optional[Sequence[str]] = None,
-        **kwargs,
-    ) -> Dict[str, QueryResult]:
-        """Run one query over several archived streams.
-
-        Useful for fleet questions ("when did *anyone* visit room X?"):
-        Regular queries are defined per stream (§3.4.2), so the engine
-        fans the query out and returns per-stream results keyed by
-        stream name. Extra keyword arguments pass through to
-        :meth:`query`.
-        """
-        names = list(streams) if streams is not None else self.stream_names()
-        return {name: self.query(name, query, **kwargs) for name in names}
 
     # -- reporting --------------------------------------------------------------
     def data_density(self, stream_name: str,

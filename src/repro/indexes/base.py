@@ -70,10 +70,6 @@ class IndexedAttribute:
         return cls(f"{attribute}{JOIN_SEPARATOR}{table_name}", value_of, codes)
 
     # ------------------------------------------------------------------
-    @property
-    def is_join(self) -> bool:
-        return JOIN_SEPARATOR in self.name
-
     def code(self, value) -> int:
         try:
             return self._codes[value]

@@ -273,14 +273,6 @@ class Reg:
         self._classify(self._sets, self._V @ self._dense(cpt))
         return self._accept_mass()
 
-    def update_batch(self, cpts: Sequence[CPT]) -> List[float]:
-        """Consume several consecutive timesteps in one pass (e.g. a
-        packed archive frame)."""
-        out: List[float] = []
-        for cpt in cpts:
-            out.append(self.update(cpt))
-        return out
-
     def update_span(self, cpt: CPT, span: int = 1) -> float:
         """Consume a span of ``span`` timesteps whose interior is
         irrelevant, via the composed CPT (Algorithm 4's gap jump)."""
@@ -401,9 +393,6 @@ class ReferenceReg:
             [(s, self._apply(cpt, dist)) for s, dist in self._mass.items()]
         )
         return self._accept_mass()
-
-    def update_batch(self, cpts: Sequence[CPT]) -> List[float]:
-        return [self.update(cpt) for cpt in cpts]
 
     def update_span(self, cpt: CPT, span: int = 1) -> float:
         if span > 1:

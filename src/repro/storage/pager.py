@@ -90,6 +90,11 @@ class Pager:
         self._meta_dirty = False
         self._lsn = 0
         exists = os.path.exists(path) and os.path.getsize(path) > 0
+        if not exists and not create and \
+                not os.path.exists(path + WAL_SUFFIX):
+            # Nothing to open and no log to recover from: fail before
+            # the log is created, so a read-only probe leaves no file.
+            raise StorageError(f"no such storage file: {path}")
         self.wal = WriteAheadLog(path + WAL_SUFFIX, faults=self.faults,
                                  metrics=self.metrics, stats=self.stats)
         if not exists and self.wal.pending:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..errors import CatalogError
 from ..storage import StorageEnvironment, encode_key, prefix_upper_bound
@@ -92,12 +92,6 @@ class Catalog:
         self._tree.put(self._stream_key(meta.name), meta.to_json())
         self._tree.flush()
 
-    def update_stream(self, meta: StreamMeta) -> None:
-        if not self.has_stream(meta.name):
-            raise CatalogError(f"unknown stream {meta.name!r}")
-        self._tree.put(self._stream_key(meta.name), meta.to_json())
-        self._tree.flush()
-
     def stream_meta(self, name: str) -> StreamMeta:
         data = self._tree.get(self._stream_key(name))
         if data is None:
@@ -136,9 +130,3 @@ class Catalog:
 
     def list_dimensions(self) -> List[str]:
         return self._names_with_prefix("dim")
-
-    def drop_dimension(self, name: str) -> None:
-        if self._tree.get(self._dim_key(name)) is None:
-            raise CatalogError(f"unknown dimension table {name!r}")
-        self._tree.delete(self._dim_key(name))
-        self._tree.flush()

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import Caldera
-from repro.streams import Layout, synthetic_stream
+from repro.streams import Layout, routine_stream, synthetic_stream
 
 LAYOUTS = (Layout.SEPARATED, Layout.CELL, Layout.PACKED)
 TOL = 1e-9
@@ -155,6 +155,61 @@ def test_conditioned_mode_agrees_at_run_boundaries(db):
                 assert exact[t] == pytest.approx(p, abs=TOL)
     finally:
         shutil.rmtree(db2_path)
+
+
+# ---------------------------------------------------------------------------
+# Join indexes: dim(...) predicates over a star-schema dimension table
+# ---------------------------------------------------------------------------
+
+#: Location kinds; the corridor kinds map several cells to one value.
+LOCATION_TYPE = {f"C{i}": "Corridor" if i < 4 else "Lounge"
+                 for i in range(8)}
+LOCATION_TYPE.update({"Door": "Doorway", "Room": "Office"})
+
+DIM_FIXED_QUERIES = [
+    "dim(location,LocationType)=Doorway -> dim(location,LocationType)=Office",
+    "dim(location,LocationType)=Corridor -> dim(location,LocationType)=Doorway",
+]
+DIM_VARIABLE_QUERIES = [
+    "dim(location,LocationType)=Doorway -> "
+    "(!dim(location,LocationType)=Office)* dim(location,LocationType)=Office",
+    "dim(location,LocationType)=Corridor -> "
+    "(!dim(location,LocationType)=Doorway)* dim(location,LocationType)=Doorway",
+]
+
+
+@pytest.fixture(scope="module")
+def join_db(tmp_path_factory):
+    database = Caldera(str(tmp_path_factory.mktemp("join_db")))
+    database.register_dimension_table("LocationType", LOCATION_TYPE)
+    database.archive(routine_stream("walker", num_snippets=20, seed=3),
+                     mc_alpha=2, join_tables=("LocationType",))
+    assert "btc:location/LocationType" in \
+        database.stream_meta("walker").indexes
+    yield database
+    database.close()
+
+
+@pytest.mark.parametrize("qtext", DIM_FIXED_QUERIES)
+def test_join_index_fixed_methods_agree(join_db, qtext):
+    naive_result = join_db.query("walker", qtext, method="naive")
+    naive = dict(naive_result.signal)
+    assert max(naive.values()) > 0.1
+    btree = join_db.query("walker", qtext, method="btree")
+    assert_signals_agree(naive, btree.signal)
+    assert btree.stats.io.logical_reads < naive_result.stats.io.logical_reads
+    top = join_db.query("walker", qtext, method="topk", k=3).signal
+    best = sorted(naive.values(), reverse=True)[:len(top)]
+    assert sorted((p for _, p in top), reverse=True) == \
+        pytest.approx(best, abs=TOL)
+
+
+@pytest.mark.parametrize("qtext", DIM_VARIABLE_QUERIES)
+def test_join_index_variable_mc_agrees_with_naive(join_db, qtext):
+    naive = dict(join_db.query("walker", qtext, method="naive").signal)
+    assert max(naive.values()) > 0.1
+    mc = join_db.query("walker", qtext, method="mc").signal
+    assert_signals_agree(naive, mc)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,12 @@ def test_parse_errors():
         parse_query("location=A -> ")
     with pytest.raises(QueryError):
         parse_query("location ~ A")
+    # No range predicates and no quoted values with spaces
+    # (docs/QUERY_LANGUAGE.md).
+    with pytest.raises(QueryError):
+        parse_query("temp in [18, 25]")
+    with pytest.raises(QueryError):
+        parse_query("location='a b'")
     with pytest.raises(QueryError, match="first link"):
         parse_query("(location=H)* location=R")
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import RecoveryError
+from repro.errors import RecoveryError, StorageError
+from repro.storage import StorageEnvironment
 from repro.storage.wal import WriteAheadLog, _FILE_HDR
 
 
@@ -117,3 +118,16 @@ def test_geometry_mismatch_with_pending_records_refuses(tmp_path):
     reopened = WriteAheadLog(str(tmp_path / "t.wal"))
     with pytest.raises(RecoveryError):
         reopened.initialize(128)
+
+
+def test_failed_read_only_probe_leaves_directory_unchanged(tmp_path):
+    # Opening a missing tree read-only must fail without creating its
+    # log: a stray `<name>.btree.wal` would outlive the failed probe.
+    with StorageEnvironment(str(tmp_path)) as env:
+        env.open_tree("present").put(b"k", b"v")
+        env.flush()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(StorageError):
+            env.open_tree("absent", create=False)
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert not env.exists("absent")

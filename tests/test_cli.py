@@ -1,4 +1,4 @@
-"""The CLI must work (or fail helpfully) while layers are unbuilt."""
+"""The ``python -m repro`` command line."""
 
 import pytest
 
@@ -6,8 +6,6 @@ from repro.cli import build_parser, main
 
 
 def test_help_does_not_crash(capsys):
-    # Regression: `python -m repro --help` used to die with
-    # ModuleNotFoundError because the engine was imported eagerly.
     with pytest.raises(SystemExit) as excinfo:
         build_parser().parse_args(["--help"])
     assert excinfo.value.code == 0
@@ -15,8 +13,6 @@ def test_help_does_not_crash(capsys):
 
 
 def test_info_on_empty_database(tmp_path, capsys):
-    # Until PR 4 the engine layers were missing and this exited 2 with a
-    # "not yet implemented" diagnostic; now the whole stack imports.
     rc = main(["info", str(tmp_path / "db")])
     assert rc == 0
     assert "no streams archived" in capsys.readouterr().out
