@@ -110,12 +110,14 @@ class FixedBTree(AccessMethod):
 
 
 def merge_intervals(anchors: List[int], n: int) -> List[Tuple[int, int]]:
-    """Merge candidate intervals ``[s, s+n-1]`` that overlap or abut, so
-    each stream timestep is processed at most once (§3.1)."""
+    """Merge candidate intervals ``[s, s+n-1]`` that overlap (share at
+    least one timestep), so each stream timestep is processed at most
+    once (§3.1). Abutting intervals stay apart: joining them would push
+    Reg through the CPT between them, a step neither interval needs."""
     merged: List[Tuple[int, int]] = []
     for s in anchors:
         start, end = s, s + n - 1
-        if merged and start <= merged[-1][1] + 1:
+        if merged and start <= merged[-1][1]:
             prev_start, prev_end = merged[-1]
             merged[-1] = (prev_start, max(prev_end, end))
         else:

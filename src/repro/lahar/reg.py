@@ -16,19 +16,19 @@ Two implementations share the compiled query machinery:
 
 * :class:`Reg` — the production kernel. The joint mass is a dense
   NumPy matrix ``V[set, stream-state]`` in fixed full-space
-  coordinates; one timestep is ``V @ B`` (``B`` the CPT densified in
-  one chained-``fromiter`` scatter) followed by a regrouping of
-  destination columns into their successor sets — columns are classed
-  once, at construction, by *symbol mask* (which predicates each
-  stream state satisfies), so the per-step Python cost is
-  O(sets × distinct masks) plus one O(nnz) densification, not
-  O(sets × nnz). The reference pays O(nnz) dict arithmetic *per live
-  set*, so the kernel pulls ahead as queries grow links and loops
-  (more live sets) and as supports widen.
+  coordinates, and a CPT arrives as its sorted ``(src, dst, p)``
+  arrays. One timestep is a gather, ``V[:, src] * p``, and one
+  ``bincount`` that both sums the products per destination and
+  regroups them into successor sets: a *scatter plan* maps each
+  (row, destination column) to its flat slot in the next ``V``.
+  Columns are classed once, at construction, by *symbol mask* (which
+  predicates each stream state satisfies), and the plan is cached per
+  tuple of live sets, so the per-step cost is O(sets × nnz) plus a
+  fixed handful of NumPy calls, never O(n²) (a stream CPT at n = 352
+  holds about 9 of 123,904 possible entries). The reference pays
+  O(nnz) dict arithmetic *per live set* in Python.
 * :class:`ReferenceReg` — a dict-of-dicts pure-Python implementation
-  of the same semantics, kept slow and obvious for property testing;
-  on narrow supports with single-link queries it is competitive, which
-  is why the benchmarks measure the kernel on wide-support streams.
+  of the same semantics, kept slow and obvious as the test oracle.
 
 Both support the span operations of Algorithms 4 & 5: collapsing over
 irrelevant gaps (only the start state and negated-loop states survive
@@ -38,7 +38,6 @@ loop spans, and the independence approximation.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -136,6 +135,10 @@ class QueryMachine:
 # ----------------------------------------------------------------------
 # Vectorized kernel
 # ----------------------------------------------------------------------
+#: A scatter plan: flat target indices, successor sets, accepting rows.
+_Plan = Tuple[np.ndarray, Tuple[int, ...], List[int]]
+
+
 class Reg:
     """The NumPy-vectorized Reg kernel (the production implementation)."""
 
@@ -151,69 +154,87 @@ class Reg:
         mask_arr = np.asarray(self._m.state_mask, dtype=np.int64)
         #: Columns grouped by symbol mask — fixed for the machine's
         #: life, so classification never touches per-state masks again.
-        self._groups: List[Tuple[int, np.ndarray]] = [
-            (int(mv), np.flatnonzero(mask_arr == mv))
-            for mv in np.unique(mask_arr)
-        ]
+        masks = np.unique(mask_arr)
+        self._group_masks = masks.tolist()
         #: Per-column group index and flat column ids, for the scatter.
-        self._group_of = np.searchsorted(
-            np.asarray([mv for mv, _ in self._groups], dtype=np.int64),
-            mask_arr,
-        )
+        self._group_of = np.searchsorted(masks, mask_arr)
         self._col_ids = np.arange(self._n, dtype=np.int64)
         #: DFA set -> per-group destination signature (int64 array).
         self._sig: Dict[int, np.ndarray] = {}
-        self._sets: List[int] = []
+        #: Tuple of source sets -> scatter plan (see :meth:`_plan`).
+        self._plans: Dict[Tuple[int, ...], _Plan] = {}
+        self._sets: Tuple[int, ...] = ()
         self._V = np.zeros((0, self._n))
 
     # -- state helpers -------------------------------------------------
-    def _accept_mass(self) -> float:
-        total = 0.0
-        for i, s in enumerate(self._sets):
-            if self._m.is_accepting(s):
-                total += float(self._V[i].sum())
-        return total
-
     def _signature(self, set_bits: int) -> np.ndarray:
         """The per-group destination sets of one source set (cached)."""
         sig = self._sig.get(set_bits)
         if sig is None:
             step = self._m.step
             sig = self._sig[set_bits] = np.fromiter(
-                (step(set_bits, mb) for mb, _ in self._groups),
-                np.int64, len(self._groups),
+                (step(set_bits, mb) for mb in self._group_masks),
+                np.int64, len(self._group_masks),
             )
         return sig
 
-    def _classify(self, mids: Sequence[int], W: np.ndarray) -> None:
+    def _plan(self, mids: Tuple[int, ...]) -> _Plan:
+        """The scatter plan for mass rows held by the source sets
+        ``mids``, cached per tuple: ``flat[i, y]`` is the flat index,
+        into the successor matrix, of row ``i``'s mass landing on
+        stream state ``y``; then the successor sets and the positions
+        of the accepting ones."""
+        plan = self._plans.get(mids)
+        if plan is None:
+            D = np.vstack([self._signature(s) for s in mids])
+            dsts, inv = np.unique(D, return_inverse=True)
+            flat = inv.reshape(D.shape)[:, self._group_of] * self._n \
+                + self._col_ids
+            sets = tuple(dsts.tolist())
+            accepting = [i for i, s in enumerate(sets)
+                         if self._m.is_accepting(s)]
+            plan = self._plans[mids] = (flat, sets, accepting)
+        return plan
+
+    def _settle(self, V: np.ndarray, sets: Tuple[int, ...],
+                accepting: List[int]) -> float:
+        """Adopt ``V`` (one row per set of ``sets``) as the joint mass,
+        dropping exactly-empty rows (mass is nonnegative, so a zero sum
+        means identically zero); returns the accepting sets' mass."""
+        mass = V.sum(axis=1).tolist()
+        accepted = 0.0
+        for i in accepting:
+            accepted += mass[i]
+        if 0.0 in mass:
+            live = [i for i, m in enumerate(mass) if m > 0.0]
+            V = V[live]
+            sets = tuple(sets[i] for i in live)
+        self._V = V
+        self._sets = sets
+        return accepted
+
+    def _classify(self, mids: Sequence[int], W: np.ndarray) -> float:
         """Regroup the mass rows ``W`` (one per source set in ``mids``)
         into the successor DFA states given by the destination symbols:
-        one ``bincount`` scatter over flat (destination set, column)
-        indices, so no per-set Python work beyond a signature lookup."""
+        one ``bincount`` over the plan's flat indices."""
         if not mids:
-            self._sets = []
             self._V = np.zeros((0, self._n))
-            return
-        D = np.vstack([self._signature(s) for s in mids])
-        dsts, inv = np.unique(D, return_inverse=True)
-        out_col = inv.reshape(D.shape)[:, self._group_of]
-        flat = out_col * self._n + self._col_ids
-        self._V = np.bincount(
-            flat.ravel(), weights=W.ravel(),
-            minlength=len(dsts) * self._n,
-        ).reshape(len(dsts), self._n)
-        self._sets = [int(s) for s in dsts]
-        self._prune()
+            self._sets = ()
+            return 0.0
+        flat, sets, accepting = self._plan(tuple(mids))
+        V = np.bincount(flat.ravel(), W.ravel(),
+                        minlength=len(sets) * self._n)
+        return self._settle(V.reshape(len(sets), self._n), sets, accepting)
 
-    def _prune(self) -> None:
-        """Drop exactly-empty rows (mass is nonnegative, so a zero sum
-        means identically zero)."""
-        if not self._sets:
-            return
-        live = np.flatnonzero(self._V.sum(axis=1) > 0.0)
-        if len(live) < len(self._sets):
-            self._sets = [self._sets[i] for i in live]
-            self._V = self._V[live]
+    def _product(self, V: np.ndarray, cpt: CPT) -> np.ndarray:
+        """Each row of ``V`` pushed through ``cpt``:
+        ``out[i, y] = Σ_x V[i, x]·C(y|x)`` as a gather of the source
+        columns and one ``bincount`` over ``row*n + dst``."""
+        rows, n = V.shape
+        flat = np.arange(0, rows * n, n)[:, None] + cpt.dst
+        out = np.bincount(flat.ravel(), (V[:, cpt.src] * cpt.p).ravel(),
+                          minlength=rows * n)
+        return out.reshape(rows, n)
 
     def _collapse_rows(self) -> None:
         """Merge rows into their gap-collapsed DFA states."""
@@ -224,31 +245,9 @@ class Reg:
                 acc[mid] = acc[mid] + self._V[i]
             else:
                 acc[mid] = self._V[i].copy()
-        self._sets = list(acc.keys())
+        self._sets = tuple(acc)
         self._V = np.vstack(list(acc.values())) if acc else \
             np.zeros((0, self._n))
-
-    def _dense(self, cpt: CPT) -> np.ndarray:
-        """The CPT as a dense (n, n) transition block: one chained
-        ``fromiter`` per coordinate stream plus one scatter, so every
-        per-entry step runs at C speed."""
-        B = np.zeros((self._n, self._n))
-        rows = list(cpt.rows())
-        if not rows:
-            return B
-        lens = np.fromiter((len(r) for _, r in rows), np.int64, len(rows))
-        nnz = int(lens.sum())
-        if not nnz:
-            return B
-        src = np.repeat(
-            np.fromiter((x for x, _ in rows), np.int64, len(rows)), lens)
-        dst = np.fromiter(
-            chain.from_iterable(r for _, r in rows), np.int64, nnz)
-        vals = np.fromiter(
-            chain.from_iterable(r.values() for _, r in rows),
-            np.float64, nnz)
-        B[src, dst] = vals
-        return B
 
     def _scatter(self, marginal: SparseDistribution) -> np.ndarray:
         ids, vals = marginal.as_arrays()
@@ -260,18 +259,25 @@ class Reg:
     def initialize(self, marginal: SparseDistribution) -> float:
         """Start a fresh run on the first timestep's marginal; returns
         the match probability at that timestep."""
-        self._classify([self._m.start_set],
-                       self._scatter(marginal).reshape(1, -1))
-        return self._accept_mass()
+        return self._classify([self._m.start_set],
+                              self._scatter(marginal).reshape(1, -1))
 
     def update(self, cpt: CPT) -> float:
         """Consume one timestep via its incoming CPT; returns the match
-        probability at the new timestep."""
+        probability at the new timestep.
+
+        The CPT product and the regrouping into successor sets share
+        one ``bincount``: entry ``k`` of the CPT moves
+        ``V[i, src_k]·p_k`` of row ``i`` to the plan's flat slot for
+        ``(i, dst_k)``."""
         self.updates_performed += 1
         if not self._sets:
             return 0.0
-        self._classify(self._sets, self._V @ self._dense(cpt))
-        return self._accept_mass()
+        flat, sets, accepting = self._plan(self._sets)
+        V = np.bincount(flat[:, cpt.dst].ravel(),
+                        (self._V[:, cpt.src] * cpt.p).ravel(),
+                        minlength=len(sets) * self._n)
+        return self._settle(V.reshape(len(sets), self._n), sets, accepting)
 
     def update_span(self, cpt: CPT, span: int = 1) -> float:
         """Consume a span of ``span`` timesteps whose interior is
@@ -292,8 +298,7 @@ class Reg:
             self._collapse_rows()
         totals = self._V.sum(axis=1)
         probs = self._scatter(marginal)
-        self._classify(self._sets, np.outer(totals, probs))
-        return self._accept_mass()
+        return self._classify(self._sets, np.outer(totals, probs))
 
     def update_loop_span(self, loop_state: int, plain: CPT, cond: CPT,
                          span: int = 1) -> float:
@@ -306,22 +311,24 @@ class Reg:
             return 0.0
         m = self._m
         qbit = 1 << loop_state
-        B_plain = self._dense(plain)
-        B_cond = B_plain if cond is plain else self._dense(cond)
+        pushed = self._product(self._V, plain)
+        looping = [i for i, s in enumerate(self._sets) if s & qbit]
+        kept = pushed[looping] if cond is plain else \
+            self._product(self._V[looping], cond)
+        exited = np.maximum(pushed[looping] - kept, 0.0)
         mids: List[int] = []
         rows: List[np.ndarray] = []
+        j = 0
         for i, s in enumerate(self._sets):
             mid = m.collapse(s)
             if s & qbit:
-                kept = self._V[i] @ B_cond
-                exited = np.maximum(self._V[i] @ B_plain - kept, 0.0)
                 mids.extend((mid | qbit, mid))
-                rows.extend((kept, exited))
+                rows.extend((kept[j], exited[j]))
+                j += 1
             else:
                 mids.append(mid)
-                rows.append(self._V[i] @ B_plain)
-        self._classify(mids, np.vstack(rows))
-        return self._accept_mass()
+                rows.append(pushed[i])
+        return self._classify(mids, np.vstack(rows))
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ class SparseDistribution:
 
     def as_arrays(self):
         """``(state_ids, weights)`` as parallel NumPy arrays — the
-        C-speed export the vectorized Reg kernel densifies rows with.
+        C-speed export the vectorized Reg kernel scatters marginals with.
         Both arrays follow the dict's (stable) iteration order."""
         import numpy as np
 

@@ -290,17 +290,29 @@ class SeparatedReader(StreamReader):
 
 
 class _CombinedReader(StreamReader):
-    """Shared scan plumbing for the cell-holding layouts: per-kind scans
-    route through :meth:`scan_cells`, so a full scan touches each
-    entry/frame exactly once instead of twice."""
+    """Shared plumbing for the cell-holding layouts. Every access goes
+    through :meth:`_cell_chunks`, the raw ``(marginal, CPT)`` bytes of
+    one timestep. The per-kind scans (inherited) decode only the chunk
+    they yield; :meth:`scan_cells` fetches each cell once for both."""
 
-    def scan_marginals(self, start=0, stop=None):
-        for t, marginal, _ in self.scan_cells(start, stop):
-            yield t, marginal
+    def _cell_chunks(self, t: int) -> Tuple[bytes, bytes]:
+        raise NotImplementedError
 
-    def scan_cpts(self, start=1, stop=None):
-        for t, _, cpt in self.scan_cells(max(1, start), stop):
-            yield t, cpt
+    def marginal(self, t: int) -> SparseDistribution:
+        self._check_time(t)
+        return SparseDistribution.from_bytes(self._cell_chunks(t)[0])
+
+    def cpt_into(self, t: int) -> CPT:
+        self._check_time(t, lo=1)
+        return CPT.from_bytes(self._cell_chunks(t)[1])
+
+    def scan_cells(self, start=0, stop=None):
+        start, stop = self._clamp(start, stop)
+        for t in range(start, stop):
+            marg_bytes, cpt_bytes = self._cell_chunks(t)
+            marginal = SparseDistribution.from_bytes(marg_bytes)
+            cpt = None if t == 0 else CPT.from_bytes(cpt_bytes)
+            yield t, marginal, cpt
 
 
 class CellReader(_CombinedReader):
@@ -311,27 +323,11 @@ class CellReader(_CombinedReader):
         super().__init__(name, space, length)
         self._data = data
 
-    def _cell(self, t: int) -> Tuple[bytes, bytes]:
+    def _cell_chunks(self, t: int) -> Tuple[bytes, bytes]:
         data = self._data.get(encode_key((t,)))
         if data is None:
             raise StorageError(f"missing archive cell at t={t}")
         return _decode_cell(data)
-
-    def marginal(self, t: int) -> SparseDistribution:
-        self._check_time(t)
-        return SparseDistribution.from_bytes(self._cell(t)[0])
-
-    def cpt_into(self, t: int) -> CPT:
-        self._check_time(t, lo=1)
-        return CPT.from_bytes(self._cell(t)[1])
-
-    def scan_cells(self, start=0, stop=None):
-        start, stop = self._clamp(start, stop)
-        for t in range(start, stop):
-            marg_bytes, cpt_bytes = self._cell(t)
-            marginal = SparseDistribution.from_bytes(marg_bytes)
-            cpt = None if t == 0 else CPT.from_bytes(cpt_bytes)
-            yield t, marginal, cpt
 
 
 class PackedReader(_CombinedReader):
@@ -370,22 +366,6 @@ class PackedReader(_CombinedReader):
         if offset + 1 >= len(chunks):
             raise StorageError(f"timestep {t} beyond frame at {start}")
         return chunks[offset], chunks[offset + 1]
-
-    def marginal(self, t: int) -> SparseDistribution:
-        self._check_time(t)
-        return SparseDistribution.from_bytes(self._cell_chunks(t)[0])
-
-    def cpt_into(self, t: int) -> CPT:
-        self._check_time(t, lo=1)
-        return CPT.from_bytes(self._cell_chunks(t)[1])
-
-    def scan_cells(self, start=0, stop=None):
-        start, stop = self._clamp(start, stop)
-        for t in range(start, stop):
-            marg_bytes, cpt_bytes = self._cell_chunks(t)
-            marginal = SparseDistribution.from_bytes(marg_bytes)
-            cpt = None if t == 0 else CPT.from_bytes(cpt_bytes)
-            yield t, marginal, cpt
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ across every archive layout."""
 
 import pytest
 
+from repro.access import merge_intervals
 from repro.core import Caldera
 from repro.streams import ENTERED_ROOM_QUERY, Layout, synthetic_stream
 
@@ -39,6 +40,20 @@ def test_naive_and_btree_agree_on_emitted_timesteps(db, layout):
     for t, p in naive.items():
         if p > 1e-12:
             assert t in emitted, f"btree dropped nonzero timestep {t}"
+
+
+@pytest.mark.parametrize("anchors,n,want", [
+    ([], 2, []),
+    ([0, 1, 2], 2, [(0, 3)]),                    # each shares a step
+    ([0, 2, 4], 2, [(0, 1), (2, 3), (4, 5)]),    # abutting: kept apart
+    ([0, 2], 3, [(0, 4)]),                       # overlap at t=2
+    ([0, 3], 3, [(0, 2), (3, 5)]),               # abutting
+    ([0, 1, 5], 1, [(0, 0), (1, 1), (5, 5)]),    # one-link intervals
+])
+def test_merge_intervals_joins_only_overlapping_candidates(anchors, n, want):
+    """§3.1 merges overlapping candidate intervals; joining abutting
+    ones would run Reg across the CPT between them for nothing."""
+    assert merge_intervals(anchors, n) == want
 
 
 def test_btree_rejects_variable_length_queries(db):

@@ -139,3 +139,43 @@ def test_pack_must_be_positive(tmp_path):
 
 def test_default_pack_is_sane():
     assert DEFAULT_PACK >= 2
+
+
+@pytest.mark.parametrize("layout", [Layout.CELL, Layout.PACKED])
+def test_scans_decode_only_the_chunk_they_yield(tmp_path, monkeypatch,
+                                                layout):
+    """A CPT scan of a combined layout never decodes a marginal and a
+    marginal scan never decodes a CPT, at the page-read cost of the
+    cell scan over the same timesteps."""
+    stream = random_stream(3, 17, 4)
+    with StorageEnvironment(str(tmp_path)) as env:
+        reader = write_stream(env, stream, layout=layout, pack=4)
+
+        def reads(scan, *args):
+            before = env.stats.logical_reads
+            out = list(scan(*args))
+            return env.stats.logical_reads - before, out
+
+        cpt_cost, _ = reads(reader.scan_cells, 1)
+        marg_cost, _ = reads(reader.scan_cells, 0)
+        calls = []
+
+        def counted(cls):
+            raw = vars(cls)["from_bytes"].__func__
+
+            def from_bytes(klass, data, pos=0):
+                calls.append(cls.__name__)
+                return raw(klass, data, pos)
+            monkeypatch.setattr(cls, "from_bytes", classmethod(from_bytes))
+
+        counted(SparseDistribution)
+        counted(CPT)
+        cost, cpts = reads(reader.scan_cpts)
+        assert cost == cpt_cost
+        assert calls == ["CPT"] * 16
+        assert [c for _, c in cpts] == stream.cpts
+        calls.clear()
+        cost, marginals = reads(reader.scan_marginals)
+        assert cost == marg_cost
+        assert calls == ["SparseDistribution"] * 17
+        assert [m for _, m in marginals] == stream.marginals
